@@ -4,8 +4,10 @@ This package is the repo's spec-to-implementation *lowering* step — the
 same move DP-HLS makes from its front-end spec to generated RTL, applied
 to the Python model: :mod:`repro.backend.compiler` traces ``pe_func``
 once through :mod:`repro.core.expr` and emits a NumPy function over
-whole anti-diagonals; :mod:`repro.backend.wavefront` sweeps it across
-the matrix and reconstructs the engine's cycle report in closed form.
+whole anti-diagonals; :mod:`repro.backend.batch` sweeps it across a
+batch of DP matrices at once, and :mod:`repro.backend.wavefront`
+finishes each pair (start cell, traceback, the engine's cycle report in
+closed form).  ``compiled_align`` is the same sweep over a batch of one.
 
 ``compiled_align`` is bit-identical to :func:`repro.systolic.engine.align`
 (scores, start cells, tracebacks, cycle totals, collected matrices) on
@@ -20,14 +22,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.backend.batch import compiled_align_batch
+from repro.backend.batch import compiled_align, compiled_align_batch
 from repro.backend.compiler import (
     CompiledKernel,
     UnsupportedSpecError,
     lower,
     prewarm,
 )
-from repro.backend.wavefront import compiled_align
 
 
 def _systolic_align(*args: Any, **kwargs: Any):

@@ -11,7 +11,7 @@ The DAG is then emitted as Python source for one function
 
 whose operands are whole *anti-diagonals* (NumPy arrays) instead of
 scalars; ``exec`` turns it into the callable
-:mod:`repro.backend.wavefront` sweeps over the matrix.  Because the
+:mod:`repro.backend.batch` sweeps over the matrices.  Because the
 emitted expression tree has exactly the shape the scalar engine
 evaluates (same operator order, same float64 arithmetic, same
 ``np.where`` tie behaviour as ``select``), the results are bit-identical

@@ -38,12 +38,7 @@ from repro.cache.fingerprint import pair_fingerprint, runtime_fingerprint
 from repro.cache.memory import MemoryCache
 from repro.cache.singleflight import SingleFlight
 from repro.core.result import Alignment, AlignmentResult, CycleReport, Move
-from repro.host.runtime import (
-    BatchOutcome,
-    DeviceRuntime,
-    RunOptions,
-    resolve_run_options,
-)
+from repro.host.runtime import BatchOutcome, DeviceRuntime, RunOptions
 from repro.obs.recorder import get_recorder
 from repro.parallel import WorkError
 
@@ -331,20 +326,19 @@ class CachedRuntime:
     def run(
         self,
         pairs: Sequence[Tuple[Sequence[Any], Sequence[Any]]],
+        *,
         options: Optional[RunOptions] = None,
-        **legacy: Any,
     ) -> CachedBatchOutcome:
         """Align a batch, serving every known pair from the cache tiers.
 
         Semantics match :meth:`DeviceRuntime.run` — index-aligned
         results, per-pair failures isolated in ``errors``, knobs in
-        ``options`` (legacy ``workers=``/``timeout=`` keywords warn for
-        one release) — with two additions: ``fingerprints``/``cached``
+        ``options`` — with two additions: ``fingerprints``/``cached``
         attribution on the outcome, and cross-thread single-flight (an
         identical pair being computed by another thread is awaited,
         not recomputed).
         """
-        opts = resolve_run_options(options, legacy)
+        opts = options if options is not None else RunOptions()
         recorder = get_recorder()
         pairs = list(pairs)
         n = len(pairs)

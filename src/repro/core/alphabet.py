@@ -15,9 +15,20 @@ operands of the declared field widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from itertools import chain
+from typing import Any, Sequence, Set, Tuple, Type, Union
 
 from repro.core.trace import DatapathGraph, TracedValue
+
+
+def _all_numbers(
+    types: Set[type], allowed: Union[Type, Tuple[Type, ...]]
+) -> bool:
+    """Whether every type subclasses ``allowed`` — ``bool`` excluded,
+    although it subclasses ``int``."""
+    return all(
+        issubclass(t, allowed) and not issubclass(t, bool) for t in types
+    )
 
 
 @dataclass(frozen=True)
@@ -55,12 +66,37 @@ class Alphabet:
         return tuple(TracedValue(graph, bits) for _name, bits in self.fields)
 
     def validate_symbol(self, symbol: Any) -> bool:
-        """Lightweight runtime check that ``symbol`` matches the alphabet."""
+        """Runtime check that ``symbol`` matches the alphabet."""
+        return self.validate_sequence((symbol,))
+
+    def validate_sequence(self, sequence: Sequence[Any]) -> bool:
+        """Whether every symbol of ``sequence`` matches the alphabet.
+
+        One pass of builtins over the whole sequence (``type``, ``len``,
+        ``min``/``max``), with no Python call per symbol: codes of a
+        sized alphabet are ints in ``[0, size)``, numeric symbols are
+        ints or floats, struct symbols are tuples of ``len(fields)``
+        ints or floats.  ``bool`` is never a number here.
+        """
+        types = set(map(type, sequence))
+        if not types:
+            return True
         if self.is_struct:
-            return isinstance(symbol, tuple) and len(symbol) == len(self.fields)
+            return (
+                all(issubclass(t, tuple) for t in types)
+                and set(map(len, sequence)) == {len(self.fields)}
+                and _all_numbers(
+                    set(map(type, chain.from_iterable(sequence))),
+                    (int, float),
+                )
+            )
         if self.size:
-            return isinstance(symbol, int) and 0 <= symbol < self.size
-        return isinstance(symbol, (int, float))
+            return (
+                _all_numbers(types, int)
+                and min(sequence) >= 0
+                and max(sequence) < self.size
+            )
+        return _all_numbers(types, (int, float))
 
 
 #: 2-bit DNA/RNA bases (A=0, C=1, G=2, T/U=3).

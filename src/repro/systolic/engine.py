@@ -66,14 +66,20 @@ def validate_pair(
             f"{max_q}x{max_r}; use host-side tiling (repro.tiling) for "
             f"longer alignments"
         )
-    # Spot-check the first symbol of each input against the alphabet so a
-    # mis-encoded sequence fails with a clear message instead of deep in
-    # the PE function.
+    # Check every symbol of each input against the alphabet so a
+    # mis-encoded sequence fails here, naming its first bad symbol,
+    # instead of scoring differently per backend or failing deep in the
+    # PE function.
+    alphabet = spec.alphabet
     for label, sequence in (("query", query), ("reference", reference)):
-        if not spec.alphabet.validate_symbol(sequence[0]):
+        if not alphabet.validate_sequence(sequence):
+            bad = next(
+                symbol for symbol in sequence
+                if not alphabet.validate_symbol(symbol)
+            )
             raise SystolicAlignmentError(
-                f"{spec.name}: {label} symbol {sequence[0]!r} does not "
-                f"match alphabet {spec.alphabet.name!r}"
+                f"{spec.name}: {label} symbol {bad!r} does not "
+                f"match alphabet {alphabet.name!r}"
             )
     if spec.banding is not None and spec.start_rule is StartRule.BOTTOM_RIGHT:
         if abs(n_rows - n_cols) > spec.banding:

@@ -19,8 +19,10 @@ whose detail is the full three-way disagreement triple
 (``systolic=... compiled=... oracle=...``).  A fifth leg re-runs every
 kernel's cases as *one* :func:`repro.backend.compiled_align_batch`
 lockstep sweep (mixed lengths, per-case PE counts) and compares each
-slot bit-identically against the per-pair compiled result — any
-divergence is a ``batched_*`` failure.  A failing case is then *shrunk* — query and reference are
+slot bit-identically against the per-pair compiled result.  Both run the
+same sweep, so the leg pits its masked branch (lanes of unequal shape)
+against its unmasked one (a batch of one); any divergence is a
+``batched_*`` failure.  A failing case is then *shrunk* — query and reference are
 greedily truncated and thinned while the failure persists — so every
 mismatch lands as a minimal reproducer ready to paste into a regression
 test (see ``tests/test_fuzz_regressions.py``).
@@ -479,9 +481,10 @@ def _batched_failures(
     Each kernel's cases run as *one* ``compiled_align_batch`` sweep
     (mixed lengths and per-case PE counts, exactly as the service's
     batcher would hand them over) and every slot is compared strictly
-    against a fresh per-pair ``compiled_align``.  Cases whose single-pair
-    run raises are skipped here — the per-case compiled leg already
-    reports them.
+    against a fresh per-pair ``compiled_align`` — a batch of one, which
+    takes the sweep's unmasked branch where the mixed batch takes the
+    masked one.  Cases whose single-pair run raises are skipped here —
+    the per-case compiled leg already reports them.
     """
     failures: List[Tuple[FuzzCase, FuzzFailure]] = []
     pairs_checked = 0

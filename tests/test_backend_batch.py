@@ -11,9 +11,9 @@ call would.
 
 Alongside ride the PR's pre-warm regressions (lowering is memoized and
 primed at construction/worker-ready time, never on the first request)
-and the ``DeviceRuntime.run`` fast-path plumbing (auto-engage, opt-out,
-``batch_exec=True`` without a batched backend, and the per-pair
-fallback that keeps failure isolation).
+and the ``DeviceRuntime.run`` fast-path plumbing (auto-engage, the
+per-pair path a timeout selects, and the per-pair fallback that keeps
+failure isolation).
 """
 
 import dataclasses
@@ -95,6 +95,28 @@ class TestBatchedBitIdentity:
         for (query, reference), n_pe, result in zip(pairs, n_pes, batched):
             assert_same_result(
                 _single(spec, query, reference, n_pe, collect_matrix=True),
+                result, collect_matrix=True,
+            )
+
+    @pytest.mark.parametrize("kid", ALL_KERNELS)
+    def test_equal_shape_batch_matches_systolic(self, kid):
+        """Equal-shape lanes take the sweep's unmasked branch with B > 1."""
+        from repro.systolic import align
+
+        spec = get_kernel(kid)
+        cases = [generate_case(kid, 613 * kid + s, max_len=20) for s in range(4)]
+        n_rows = min(len(case.query) for case in cases)
+        n_cols = min(len(case.reference) for case in cases)
+        pairs = [
+            (case.query[:n_rows], case.reference[:n_cols]) for case in cases
+        ]
+        n_pes = [case.n_pe for case in cases]
+        batched = compiled_align_batch(
+            spec, pairs, n_pe=n_pes, collect_matrix=True
+        )
+        for (query, reference), n_pe, result in zip(pairs, n_pes, batched):
+            assert_same_result(
+                align(spec, query, reference, n_pe=n_pe, collect_matrix=True),
                 result, collect_matrix=True,
             )
 
@@ -231,7 +253,7 @@ class TestPrewarm:
 
 
 class TestRuntimeFastPath:
-    """`DeviceRuntime.run` wiring: auto-engage, opt-out, fallback."""
+    """`DeviceRuntime.run` wiring: auto-engage, per-pair path, fallback."""
 
     def _runtime(self, backend="compiled"):
         return DeviceRuntime(
@@ -258,17 +280,13 @@ class TestRuntimeFastPath:
             fast = runtime.run(pairs)
         finally:
             set_recorder(previous)
-        slow = runtime.run(pairs, options=RunOptions(batch_exec=False))
+        # a per-pair timeout needs per-pair calls, so it skips the sweep
+        slow = runtime.run(pairs, options=RunOptions(timeout=60.0))
         assert not fast.errors and not slow.errors
         assert recorder.snapshot()["counters"]["host.batched_fast_path"] == 1
         for fast_result, slow_result in zip(fast.results, slow.results):
             assert_same_result(slow_result, fast_result)
         assert fast.schedule == slow.schedule
-
-    def test_batch_exec_true_without_batched_backend_raises(self):
-        runtime = self._runtime(backend="systolic")
-        with pytest.raises(ValueError, match="no batched fast path"):
-            runtime.run(self._pairs(2), options=RunOptions(batch_exec=True))
 
     def test_fallback_isolates_failing_pair(self):
         """A poisoned batch degrades to per-pair WorkError isolation."""

@@ -126,15 +126,6 @@ class TestBatchEdgeCases:
         ]
         assert serial.schedule == pooled.schedule
 
-    def test_legacy_workers_kwarg_warns_and_matches_options(self):
-        pairs = _pairs(3)
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            legacy = _runtime().run(pairs, workers=1)
-        modern = _runtime().run(pairs, options=RunOptions(workers=1))
-        assert [r.score for r in legacy.results] == [
-            r.score for r in modern.results
-        ]
-
     def test_parallel_run_requires_registered_kernel(self):
         import dataclasses
 

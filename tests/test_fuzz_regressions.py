@@ -170,3 +170,66 @@ class TestNonDnaSubstrates:
 
         qry, ref = protein_pairs(1, length=20, seed=25)[0]
         _assert_clean(15, qry[:15], ref[:19], n_pe=3)
+
+
+def _rejections(kid, query, reference, valid):
+    """The error each backend raises on one invalid pair, as text; the
+    batched call puts the ``valid`` pair ahead of it."""
+    from repro.backend import compiled_align, compiled_align_batch
+    from repro.kernels import get_kernel
+    from repro.systolic import align
+    from repro.systolic.engine import SystolicAlignmentError
+
+    spec = get_kernel(kid)
+    messages = []
+    for run in (
+        lambda: align(spec, query, reference, n_pe=4),
+        lambda: compiled_align(spec, query, reference, n_pe=4),
+        lambda: compiled_align_batch(spec, [valid, (query, reference)]),
+    ):
+        with pytest.raises(SystolicAlignmentError) as caught:
+            run()
+        messages.append(str(caught.value))
+    return messages
+
+
+class TestBoundaryValidation:
+    """Inputs rejected at the boundary, with one error for every backend.
+
+    Validation used to spot-check only the first symbol of each
+    sequence, so a bad symbol further in reached the PE function and
+    scored differently per backend (kernel 1, query ``(0, 1.5)``:
+    -6 systolic, -2 compiled); and ``bool`` passed as an ``int`` code.
+    """
+
+    def test_non_integer_symbol_past_the_first(self):
+        expected = (
+            "global_linear: query symbol 1.5 does not match alphabet 'dna'"
+        )
+        assert _rejections(
+            1, (0, 1.5), (0, 1, 2, 3), valid=((0, 1), (0, 1, 2, 3))
+        ) == [expected] * 3
+
+    def test_bool_symbol_is_not_a_code(self):
+        from repro.core.alphabet import DNA
+
+        assert not DNA.validate_symbol(True)
+        expected = (
+            "global_linear: reference symbol True does not match "
+            "alphabet 'dna'"
+        )
+        assert _rejections(
+            1, (0, 1, 2), (0, True, 2), valid=((0, 1, 2), (0, 1, 2))
+        ) == [expected] * 3
+
+    @pytest.mark.parametrize("kid", (9, 14, 15))
+    def test_out_of_alphabet_symbol_in_the_tail(self, kid):
+        from repro.experiments.workloads import WORKLOADS
+
+        query, reference = WORKLOADS[kid].make_pairs(1, seed=kid)[0]
+        query, reference = tuple(query[:6]), tuple(reference[:6])
+        messages = _rejections(
+            kid, query + ("x",), reference, valid=(query, reference)
+        )
+        assert len(set(messages)) == 1
+        assert "query symbol 'x' does not match" in messages[0]

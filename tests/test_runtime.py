@@ -99,27 +99,7 @@ class TestDeviceRuntime:
 
 
 class TestRunOptions:
-    """The unified RunOptions surface and its legacy-kwarg adapter."""
-
-    def test_options_workers_matches_legacy_workers(self):
-        runtime = DeviceRuntime(get_kernel(1), small_config())
-        batch = pairs(4)
-        via_options = runtime.run(batch, options=RunOptions(workers=1))
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            via_legacy = runtime.run(batch, workers=1)
-        assert via_options.results == via_legacy.results
-        assert via_options.schedule == via_legacy.schedule
-
-    def test_legacy_timeout_kwarg_warns(self):
-        runtime = DeviceRuntime(get_kernel(1), small_config())
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            outcome = runtime.run(pairs(1), timeout=60.0)
-        assert outcome.errors == []
-
-    def test_options_and_legacy_kwargs_are_exclusive(self):
-        runtime = DeviceRuntime(get_kernel(1), small_config())
-        with pytest.raises(TypeError, match="not both"):
-            runtime.run(pairs(1), options=RunOptions(), workers=1)
+    """The unified RunOptions surface: the only way to pass run knobs."""
 
     def test_unknown_kwarg_rejected(self):
         runtime = DeviceRuntime(get_kernel(1), small_config())

@@ -1,5 +1,7 @@
-"""Tests for SAM output, the affine vectorized scorer, variant sweeps and
-tiling properties."""
+"""Tests for SAM output, the compiled sweep on affine and banded kernels,
+variant sweeps and tiling properties."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +18,26 @@ from repro.data.sam import (
     sam_record,
     write_sam,
 )
+from repro.backend import compiled_align
+from repro.kernels import get_kernel
 from repro.reference.classic import banded_nw_linear, gotoh_global
-from repro.reference.vectorized import (
-    NEG,
-    _repin_floor,
-    banded_nw_linear_score,
-    gotoh_global_score,
-)
+from repro.systolic.engine import SystolicAlignmentError
 from tests.conftest import mutated_copy, random_dna
+
+#: The score sentinel of kernel 11: unreachable cells hold it.
+NEG = get_kernel(11).sentinel()
+
+
+def gotoh_global_score(q, r):
+    """Gotoh global score from the compiled sweep (kernel 2)."""
+    return compiled_align(get_kernel(2), q, r).score
+
+
+def banded_nw_linear_score(q, r, band):
+    """Banded Needleman-Wunsch score from the compiled sweep: kernel 11
+    with its band set to ``band``."""
+    spec = dataclasses.replace(get_kernel(11), banding=band)
+    return compiled_align(spec, q, r).score
 
 
 class TestSam:
@@ -88,19 +102,13 @@ class TestVectorizedAffine:
 
 
 class TestSentinelHygiene:
-    """Regression: NEG-sentinel values must never leak into real scores.
+    """Sentinel values must never leak into real scores.
 
-    Unreachable cells hold ``NEG = -1e15``; arithmetic drags the sentinel
-    off its floor (``NEG + gap``), and on short bands those drifted values
-    used to survive the max-reduction and surface as near-floor "scores".
+    Out-of-band cells of the compiled sweep hold the kernel's sentinel;
+    arithmetic drags it off its floor (``NEG + gap``), and on short
+    bands such drifted values could survive the max-reduction and
+    surface as near-floor "scores".
     """
-
-    def test_repin_floor_pins_drifted_sentinels(self):
-        import numpy as np
-
-        drifted = np.array([NEG + 3.0, NEG - 3.0, NEG * 0.6, -5.0, 7.0])
-        pinned = _repin_floor(drifted)
-        assert list(pinned) == [NEG, NEG, NEG, -5.0, 7.0]
 
     def test_minimal_banded_case(self):
         """The minimal leak case: band=1 forces band-edge cells whose
@@ -115,6 +123,11 @@ class TestSentinelHygiene:
     def test_matches_classic_banded(self, band, seed):
         r = random_dna(12 + 3 * seed, seed + 7)
         q = r if band == 0 else mutated_copy(r, seed + 70)[: len(r)]
+        if band == 0:
+            # a zero-width band is no kernel: the spec itself rejects it
+            with pytest.raises(ValueError, match="banding width"):
+                banded_nw_linear_score(q, r, band=band)
+            return
         got = banded_nw_linear_score(q, r, band=band)
         assert got == banded_nw_linear(q, r, band=band)
         assert got > NEG / 2
@@ -136,14 +149,15 @@ class TestSentinelHygiene:
         )
 
     def test_band_precondition(self):
-        with pytest.raises(ValueError, match="band"):
+        with pytest.raises(SystolicAlignmentError, match="band"):
             banded_nw_linear_score((0, 1, 2), (0,), band=1)
 
     def test_empty_and_singletons(self):
-        assert banded_nw_linear_score((), (), band=0) == 0.0
-        assert banded_nw_linear_score((1,), (), band=1) == -3.0
-        assert banded_nw_linear_score((), (2,), band=1) == -3.0
-        assert banded_nw_linear_score((1,), (1,), band=0) == 2.0
+        with pytest.raises(SystolicAlignmentError, match="non-empty"):
+            banded_nw_linear_score((), (2,), band=1)
+        assert banded_nw_linear_score((1,), (2,), band=1) == -2.0
+        assert banded_nw_linear_score((1,), (1,), band=1) == 2.0
+        assert banded_nw_linear_score((1,), (1, 2), band=1) == -1.0
 
 
 class TestScoreOnlySweep:
