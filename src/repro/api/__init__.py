@@ -9,8 +9,9 @@
   :mod:`repro.systolic`).
 * :class:`RunOptions` — the documented knob set of
   :meth:`repro.host.runtime.DeviceRuntime.run`.
-* :func:`serve` — start an alignment service (in-process TCP server or
-  the sharded front door) from a :class:`repro.shard.Deployment`.
+* :func:`serve` — start an alignment service (the TCP server over an
+  in-process core or over the sharded front door) from a
+  :class:`repro.shard.Deployment`.
 * :func:`map_flowcell` — the streaming read-mapping pipeline
   (re-exported from :mod:`repro.pipeline`).
 
@@ -21,7 +22,7 @@ exported from this module do not change signature without a
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any
 
 from repro.api.stage import (
     FnStage,
@@ -36,34 +37,6 @@ from repro.pipeline.flow import MapReport, map_flowcell
 from repro.systolic import align
 
 
-class ServiceHandle:
-    """A started single-process alignment service (TCP + batcher core).
-
-    The sharded path returns a :class:`repro.shard.ShardServer`, which
-    exposes the same ``address`` / ``metrics_snapshot()`` / ``close()``
-    surface; callers of :func:`serve` can treat both uniformly.
-    """
-
-    def __init__(self, server: Any, core: Any) -> None:
-        self._server = server
-        self._core = core
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) the service accepts connections on."""
-        return self._server.server_address
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """The service core's JSON-safe metrics snapshot."""
-        return self._core.metrics_snapshot()
-
-    def close(self) -> Dict[str, int]:
-        """Stop accepting, drain the batcher, and release the pool."""
-        self._server.close()
-        self._core.stop()
-        return {"service": 0}
-
-
 def serve(
     deployment: Any,
     host: str = "127.0.0.1",
@@ -75,9 +48,9 @@ def serve(
     ``shards=1`` serves from this process (a
     :class:`~repro.service.AlignmentServer` over a batcher core, with
     the deployment's cache attached); ``shards > 1`` spawns worker
-    processes behind the asyncio front door
-    (:class:`repro.shard.ShardServer`).  Returns a started handle with
-    ``address``, ``metrics_snapshot()`` and ``close()``.
+    processes behind the same server over the front door
+    (:class:`repro.shard.ShardServer`).  Returns a started, serving
+    handle with ``address``, ``metrics_snapshot()`` and ``close()``.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -87,13 +60,12 @@ def serve(
         return ShardServer((host, port), deployment, n_shards=shards).start()
     from repro.service import AlignmentServer
 
-    core = deployment.build_core(cache=deployment.build_cache()).start()
-    try:
-        server = AlignmentServer((host, port), core)
-    except BaseException:
-        core.stop()
-        raise
-    return ServiceHandle(server, core)
+    server = AlignmentServer(
+        (host, port), deployment.build_core(cache=deployment.build_cache())
+    )
+    server.core.start()
+    server.serve_in_thread()
+    return server
 
 
 __all__ = [
@@ -104,7 +76,6 @@ __all__ = [
     "PipelineReport",
     "StageStats",
     "RunOptions",
-    "ServiceHandle",
     "MapReport",
     "align",
     "map_flowcell",

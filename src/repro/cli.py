@@ -268,8 +268,9 @@ def cmd_serve(args) -> int:
     """Run the always-on alignment service until interrupted.
 
     ``--shards 1`` (the default) serves from this process;
-    ``--shards N`` spawns N worker processes behind an asyncio front
-    door that routes each request by its cache fingerprint.
+    ``--shards N`` spawns N worker processes behind a front door that
+    routes each request by its cache fingerprint.  Both run the same
+    :class:`~repro.service.AlignmentServer`.
     """
     import json as json_module
     import signal
@@ -285,60 +286,38 @@ def cmd_serve(args) -> int:
         signal.signal(signal.SIGTERM, _graceful)
         signal.signal(signal.SIGINT, _graceful)
 
-    deployment = _deployment_from_args(args)
-    if args.shards > 1:
-        from repro.shard import ShardServer
+    from repro.api import serve
 
-        server = ShardServer(
-            (args.host, args.port), deployment, n_shards=args.shards
-        ).start()
-        host, port = server.address
-        _print_deployed(deployment.kernel_ids)
-        shard_ports = ", ".join(
+    deployment = _deployment_from_args(args)
+    server = serve(deployment, args.host, args.port, shards=args.shards)
+    if args.shards > 1:
+        detail = f"{args.shards} shards: " + ", ".join(
             f"{h.name}:{h.port}" for h in server.manager.handles()
         )
-        print(f"serving kernels {list(deployment.kernel_ids)} on "
-              f"{host}:{port} ({args.shards} shards: {shard_ports}, "
-              f"backend={deployment.backend})",
-              flush=True)
-        snapshot = {}
-        stop = threading.Event()
-        try:
-            # wait() with a timeout stays interruptible by SIGINT
-            # (an untimed lock acquire on the main thread is not).
-            while not stop.wait(1.0):
-                pass
-        except KeyboardInterrupt:
-            pass
-        finally:
-            try:
-                snapshot = server.metrics_snapshot()
-            except Exception:  # noqa: BLE001 - shutdown still proceeds
-                pass
-            codes = server.close()
-            print(json_module.dumps(snapshot, indent=2, sort_keys=True))
-            print(f"drained shards: {json_module.dumps(codes, sort_keys=True)}")
-        return 0 if all(code == 0 for code in codes.values()) else 1
-
-    from repro.service import AlignmentServer
-
-    core = deployment.build_core(cache=deployment.build_cache()).start()
-    server = AlignmentServer((args.host, args.port), core)
-    host, port = server.server_address
+    else:
+        detail = (f"{len(server.core.pool.members)} runtimes, "
+                  f"max_batch={args.max_batch}, "
+                  f"max_delay={args.max_delay_ms}ms, "
+                  f"queue_bound={args.queue_bound}")
+    host, port = server.address
     _print_deployed(deployment.kernel_ids)
     print(f"serving kernels {list(deployment.kernel_ids)} on {host}:{port} "
-          f"({len(core.pool.members)} runtimes, max_batch={args.max_batch}, "
-          f"max_delay={args.max_delay_ms}ms, queue_bound={args.queue_bound}, "
-          f"backend={deployment.backend})",
-          flush=True)
+          f"({detail}, backend={deployment.backend})", flush=True)
+    snapshot = {}
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.close()
-        print(json_module.dumps(core.metrics_snapshot(), indent=2, sort_keys=True))
-    return 0
+        try:
+            snapshot = server.metrics_snapshot()
+        except Exception:  # noqa: BLE001 - shutdown still proceeds
+            pass
+        codes = server.close()
+        print(json_module.dumps(snapshot, indent=2, sort_keys=True))
+        if args.shards > 1:
+            print(f"drained shards: {json_module.dumps(codes, sort_keys=True)}")
+    return 0 if all(code == 0 for code in codes.values()) else 1
 
 
 def _validate_loadgen_sources(args) -> None:

@@ -13,8 +13,9 @@ design (Section 4, step 6) one level up:
 * :mod:`repro.service.pool`     — a pool of :class:`DeviceRuntime`\\ s
   (optionally built from a linked multi-kernel design) with least-loaded
   routing;
-* :mod:`repro.service.server`   — the serving core and a threaded TCP
-  front end;
+* :mod:`repro.service.server`   — the serving core and the one
+  JSON-line TCP server (asyncio), which serves either that core or the
+  sharded front door;
 * :mod:`repro.service.client`   — TCP/in-proc clients and an open-loop
   Poisson load generator.
 
@@ -26,8 +27,9 @@ timelines (``repro trace``).  The metric primitives themselves
 :mod:`repro.obs.metrics` and are re-exported here for convenience.
 
 For scale-out beyond one process, :mod:`repro.shard` fronts N worker
-processes — each running this package's server unchanged — behind one
-asyncio endpoint with consistent-hash routing on cache fingerprints.
+processes — each running this package's server unchanged — behind the
+same server over a router with consistent-hash routing on cache
+fingerprints.
 """
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -58,17 +60,46 @@ def encode_line(payload: Dict[str, Any]) -> bytes:
     return text.encode("utf-8") + b"\n"
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+#: Strict JSON: no ``NaN``/``Infinity`` and no overflowing numbers, so
+#: every message :func:`decode_line` accepts re-encodes.
+_DECODER = json.JSONDecoder(
+    parse_float=_finite_float, parse_constant=_finite_float
+)
+
+
 def decode_line(line: bytes) -> Dict[str, Any]:
-    """Parse one wire line into a message dict."""
+    """Parse one wire line into a message dict.
+
+    Total over bytes: anything that is not one strict-JSON object,
+    including nesting too deep to parse, raises :class:`ProtocolError`.
+    """
     try:
-        payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = _DECODER.decode(line.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError(f"undecodable wire line: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("undecodable wire line: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"wire line must be a JSON object, got {type(payload).__name__}"
         )
     return payload
+
+
+def line_limit(max_symbols: int) -> int:
+    """Longest request line a server reads for pairs of ``max_symbols``.
+
+    Room for each symbol of the deployed query plus reference maxima as
+    a spaced-out float, plus 64 KiB for the other fields.
+    """
+    return 2 ** 16 + 24 * max_symbols
 
 
 @dataclass(frozen=True)
@@ -117,18 +148,19 @@ class AlignRequest:
             raise ProtocolError(f"align request missing field {exc}") from None
         if not isinstance(request_id, str) or not request_id:
             raise ProtocolError("request id must be a non-empty string")
-        if not isinstance(kernel_id, int):
+        if type(kernel_id) is not int:  # JSON true is no kernel id
             raise ProtocolError("kernel must be an integer id")
         for name, seq in (("query", query), ("reference", reference)):
             if not isinstance(seq, list) or not seq:
                 raise ProtocolError(f"{name} must be a non-empty list")
         deadline = payload.get("deadline_ms")
-        if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0
+        if deadline is not None and not (  # excludes NaN, inf, bools
+            type(deadline) in (int, float)
+            and 0 < deadline <= sys.float_info.max
         ):
             raise ProtocolError("deadline_ms must be a positive number")
         priority = payload.get("priority", 0)
-        if not isinstance(priority, int):
+        if type(priority) is not int:
             raise ProtocolError("priority must be an integer")
         return cls(
             request_id=request_id,

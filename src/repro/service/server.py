@@ -1,4 +1,4 @@
-"""The serving core and its threaded TCP front end.
+"""The serving core and the one JSON-line server in front of it.
 
 :class:`ServiceCore` is the transport-agnostic engine: requests enter
 through :meth:`ServiceCore.submit` and resolve a :class:`ReplySlot`
@@ -13,20 +13,22 @@ and histograms always; spans too when tracing).  Admission failures
 (backpressure, unknown kernel, overlong pair, struct alphabet) resolve
 immediately — every submitted request is *answered*, never dropped.
 
-:class:`AlignmentServer` wraps the core in a ``ThreadingTCPServer``
-speaking the JSON-line protocol: one handler thread per connection reads
-requests; responses are written by whichever dispatch thread resolves
-them (a per-connection write lock keeps lines atomic), so responses may
-legally arrive out of request order — clients demultiplex by id.
+:class:`AlignmentServer` is the package's one JSON-line protocol
+handler: an asyncio server whose per-connection coroutine decodes each
+line and dispatches on its ``type``, answering every line exactly once.
+It serves a :class:`ServiceCore` (``repro serve``, every shard worker)
+or the sharded :class:`~repro.shard.frontdoor.FrontDoor`.  Responses
+may arrive out of request order — clients demultiplex by id.
 """
 
 from __future__ import annotations
 
-import socketserver
+import asyncio
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.kernels import get_kernel
 from repro.obs.export import chrome_trace, render_text_snapshot
@@ -41,6 +43,7 @@ from repro.service.protocol import (
     decode_line,
     encode_line,
     error_response,
+    line_limit,
     rejection,
     response_from_result,
 )
@@ -256,13 +259,10 @@ class ServiceCore:
         except RuntimeError:
             # Executor already shut down: answer rather than drop.
             for entry in entries:
-                self._resolve_entry(
-                    entry,
-                    rejection(
-                        entry.payload.request.request_id,
-                        "service shut down before dispatch",
-                    ),
-                )
+                entry.payload.resolve(rejection(
+                    entry.payload.request.request_id,
+                    "service shut down before dispatch",
+                ))
 
     def _run_batch(
         self,
@@ -292,9 +292,8 @@ class ServiceCore:
                 f"kernel.{kernel_id}.completed_total", len(entries)
             )
             for entry in entries:
-                self._resolve_entry(
-                    entry,
-                    error_response(entry.payload.request.request_id, str(exc)),
+                entry.payload.resolve(
+                    error_response(entry.payload.request.request_id, str(exc))
                 )
             return
         errors = {err.index: err for err in outcome.errors}
@@ -341,13 +340,7 @@ class ServiceCore:
                 kernel=kernel_id, request_id=request.request_id,
                 ok=index not in errors,
             )
-            self._resolve_entry(entry, response)
-
-    @staticmethod
-    def _resolve_entry(entry: PendingEntry, response: AlignResponse) -> None:
-        """Resolve the reply slot riding in a pending entry."""
-        slot: ReplySlot = entry.payload
-        slot.resolve(response)
+            entry.payload.resolve(response)  # the entry's ReplySlot
 
     # -- introspection ------------------------------------------------
 
@@ -371,93 +364,239 @@ class ServiceCore:
         return chrome_trace(self.recorder)
 
 
-class _ServiceHandler(socketserver.StreamRequestHandler):
-    """One connection: read JSON lines, answer asynchronously."""
+class _CoreTarget:
+    """A :class:`ServiceCore` behind the server's target interface.
 
-    def handle(self) -> None:
-        """Pump requests until EOF; responses write as they resolve."""
-        core: ServiceCore = self.server.core  # type: ignore[attr-defined]
-        write_lock = threading.Lock()
-
-        def send(payload: bytes) -> None:
-            try:
-                with write_lock:
-                    self.wfile.write(payload)
-                    self.wfile.flush()
-            except (OSError, ValueError):
-                pass  # connection gone; the metrics still counted the work
-
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                message = decode_line(line)
-                kind = message.get("type")
-                if kind == "align":
-                    request = AlignRequest.from_dict(message)
-                    slot = core.submit(request)
-                    slot.add_done_callback(
-                        lambda response: send(response.to_line())
-                    )
-                elif kind == "metrics":
-                    send(encode_line({
-                        "type": "metrics",
-                        "id": message.get("id"),
-                        "snapshot": core.metrics_snapshot(),
-                    }))
-                elif kind == "metrics_text":
-                    send(encode_line({
-                        "type": "metrics_text",
-                        "id": message.get("id"),
-                        "text": render_text_snapshot(core.metrics_snapshot()),
-                    }))
-                elif kind == "trace":
-                    send(encode_line({
-                        "type": "trace",
-                        "id": message.get("id"),
-                        "trace": core.trace_snapshot(),
-                    }))
-                elif kind == "ping":
-                    send(encode_line({"type": "pong", "id": message.get("id")}))
-                else:
-                    raise ProtocolError(f"unknown message type {kind!r}")
-            except ProtocolError as exc:
-                send(encode_line({
-                    "type": "result",
-                    "id": message.get("id") if isinstance(message, dict) else None,
-                    "status": "error",
-                    "error": str(exc),
-                }))
-
-
-class AlignmentServer(socketserver.ThreadingTCPServer):
-    """Threaded JSON-line TCP front end over a :class:`ServiceCore`.
-
-    Binds immediately; call :meth:`serve_in_thread` (tests, loadgen) or
-    ``serve_forever`` (CLI).  ``server_address`` reports the bound
-    (host, port) — pass port 0 to let the OS choose.
+    A target is what :class:`AlignmentServer` serves: ``line_limit``
+    (the longest request line it reads) and the coroutines ``start()``,
+    ``align(request, reply)``, ``metrics_snapshot()``,
+    ``metrics_text()``, ``trace_snapshot()`` and ``drain()``.
+    ``reply(line)`` may be called from any thread.
     """
 
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(
-        self, address: Tuple[str, int], core: ServiceCore
-    ) -> None:
+    def __init__(self, core: ServiceCore) -> None:
         self.core = core
-        super().__init__(address, _ServiceHandler)
+        self.line_limit = line_limit(max(
+            sum(core.pool.max_lengths(kernel_id))
+            for kernel_id in core.pool.kernel_ids()
+        ))
+
+    async def start(self) -> None:
+        """Nothing to do: the caller starts the core."""
+
+    async def align(
+        self, request: AlignRequest, reply: Callable[[bytes], None]
+    ) -> None:
+        """Submit; the response line goes out when the slot resolves."""
+        self.core.submit(request).add_done_callback(
+            lambda response: reply(response.to_line())
+        )
+
+    async def metrics_snapshot(self) -> Dict:
+        return self.core.metrics_snapshot()
+
+    async def metrics_text(self) -> str:
+        return render_text_snapshot(self.core.metrics_snapshot())
+
+    async def trace_snapshot(self) -> Dict:
+        return self.core.trace_snapshot()
+
+    async def drain(self) -> None:
+        """Stop the core off the loop, which goes on writing replies."""
+        await asyncio.get_running_loop().run_in_executor(None, self.core.stop)
+
+
+class _Connection:
+    """One client's writer: lines from any thread, written on the loop."""
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.task = asyncio.current_task()
+        self._loop = asyncio.get_running_loop()
+        self._loop_thread = threading.get_ident()
+
+    def reply(self, line: bytes) -> None:
+        """Send one line; callable from any thread."""
+        if threading.get_ident() == self._loop_thread:
+            self.write(line)
+        else:
+            self._loop.call_soon_threadsafe(self.write, line)
+
+    def write(self, data: bytes) -> None:
+        if not self.writer.is_closing():
+            self.writer.write(data)
+
+
+async def _next_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line (``b""`` at EOF), or ``None`` for an overlong one.
+
+    An overlong line is consumed up to its newline, so the connection
+    stays in step and the line can still be answered.
+    """
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # an unterminated last line, or b"" at EOF
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)  # already buffered
+            overlong = True
+            continue
+        return None if overlong else line
+
+
+class AlignmentServer:
+    """The JSON-line TCP server over a :class:`ServiceCore` or a target.
+
+    Binds immediately: ``server_address`` (alias ``address``) is the
+    bound (host, port) — pass port 0 to let the OS choose.
+    :meth:`serve_in_thread` starts the event-loop thread;
+    :meth:`serve_forever` starts it and blocks until :meth:`close` or a
+    ``KeyboardInterrupt`` on the calling thread.  :meth:`close` stops
+    accepting, drains the target (answering every request it holds) and
+    stops the loop.
+    """
+
+    def __init__(self, address: Tuple[str, int], core: Any) -> None:
+        self.core = core
+        self._target = (
+            _CoreTarget(core) if isinstance(core, ServiceCore) else core
+        )
+        self._sock = socket.create_server(address)
+        self.server_address: Tuple[str, int] = self._sock.getsockname()[:2]
+        self._loop = asyncio.new_event_loop()
+        self._thread: Optional[threading.Thread] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[_Connection] = set()
+        self._closed = threading.Event()
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        """(host, port) the server accepts connections on."""
+        return self.server_address
 
     def serve_in_thread(self) -> threading.Thread:
-        """Run ``serve_forever`` on a daemon thread and return it."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="alignment-server", daemon=True
-        )
-        thread.start()
-        return thread
+        """Start serving on a daemon loop thread and return it."""
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._loop.run_forever, name="alignment-server",
+                daemon=True,
+            )
+            self._thread.start()
+            self._call(self._start())
+        return self._thread
 
-    def close(self) -> None:
-        """Stop accepting, close the socket, and stop the core."""
-        self.shutdown()
-        self.server_close()
-        self.core.stop()
+    def serve_forever(self) -> None:
+        """Serve until :meth:`close` (or an interrupt on this thread)."""
+        self.serve_in_thread()
+        while not self._closed.wait(0.5):  # timed: stays interruptible
+            pass
+
+    def metrics_snapshot(self) -> Dict[str, Any]:
+        """The target's metrics snapshot, fetched from any thread."""
+        return self._call(self._target.metrics_snapshot(), timeout=30.0)
+
+    def close(self) -> Dict[str, Optional[int]]:
+        """Stop accepting, drain the target, stop the loop.
+
+        Returns worker name → exit code for the processes behind the
+        server: none here (:class:`~repro.shard.ShardServer` has some).
+        """
+        if self._closed.is_set():
+            return {}
+        if self._thread is None:
+            self._loop.run_until_complete(self._shutdown())
+        else:
+            self._call(self._shutdown())
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=10.0)
+        self._loop.close()
+        self._closed.set()
+        return {}
+
+    def _call(self, coro: Any, timeout: Optional[float] = None) -> Any:
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
+            timeout
+        )
+
+    async def _start(self) -> None:
+        await self._target.start()
+        self._server = await asyncio.start_server(
+            self._serve_connection, sock=self._sock,
+            limit=self._target.line_limit,
+        )
+
+    async def _shutdown(self) -> None:
+        if self._server is not None:
+            self._server.close()
+        self._sock.close()
+        await self._target.drain()
+        for connection in self._connections:
+            connection.writer.close()
+        tasks = [connection.task for connection in self._connections]
+        if tasks:
+            _done, stuck = await asyncio.wait(tasks, timeout=5.0)
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """One client: answer every line until EOF."""
+        connection = _Connection(writer)
+        self._connections.add(connection)
+        try:
+            while True:
+                line = await _next_line(reader)
+                if line == b"":
+                    break  # EOF
+                if line is None or line.strip():
+                    await self._answer(connection, line)
+                await writer.drain()
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            self._connections.discard(connection)
+            writer.close()
+
+    async def _answer(
+        self, connection: _Connection, line: Optional[bytes]
+    ) -> None:
+        """Decode one line (``None``: overlong) and dispatch on its ``type``."""
+        target = self._target
+        message: Any = None
+        try:
+            if line is None:
+                raise ProtocolError(
+                    f"request line exceeds {target.line_limit} bytes, "
+                    f"the limit for the deployed maxima"
+                )
+            message = decode_line(line)
+            kind = message.get("type")
+            if kind == "align":
+                request = AlignRequest.from_dict(message)
+                return await target.align(request, connection.reply)
+            answer = {"type": kind, "id": message.get("id")}
+            if kind == "ping":
+                answer["type"] = "pong"
+            elif kind == "metrics":
+                answer["snapshot"] = await target.metrics_snapshot()
+            elif kind == "metrics_text":
+                answer["text"] = await target.metrics_text()
+            elif kind == "trace":
+                answer["trace"] = await target.trace_snapshot()
+            else:
+                raise ProtocolError(f"unknown message type {kind!r}")
+            connection.write(encode_line(answer))
+        except Exception as exc:  # noqa: BLE001 - every line gets an answer
+            # The id is echoed only when it can be a request's id.
+            request_id = message.get("id") if isinstance(message, dict) else None
+            connection.write(encode_line({
+                "type": "result",
+                "id": request_id if isinstance(request_id, str) else None,
+                "status": "error",
+                "error": str(exc) if isinstance(exc, ProtocolError)
+                else f"internal error: {type(exc).__name__}: {exc}",
+            }))

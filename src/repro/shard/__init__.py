@@ -16,17 +16,19 @@ and route work between them:
   the CLI, the front door and every worker;
 * :mod:`repro.shard.worker`    — the worker-process entry point: one
   :class:`~repro.service.DevicePool` + private memory cache tier (own
-  disk journal under a shared cache root) behind the existing threaded
-  JSON-line server;
+  disk journal under a shared cache root) behind the same asyncio
+  JSON-line server the single process runs;
 * :mod:`repro.shard.manager`   — process lifecycle: spawn with a ready
   handshake, graceful drain via a control pipe, exit-code collection;
-* :mod:`repro.shard.frontdoor` — the asyncio front door: routes each
-  request by fingerprint to a shard link, enforces reject-not-drop
-  per-shard in-flight bounds, heartbeats every shard and evicts dead
-  ones (remapping the ring), and aggregates per-shard metrics behind
-  the ``metrics``/``metrics_text``/``trace`` wire endpoints.
+* :mod:`repro.shard.frontdoor` — the front door, the routing target
+  of that same server: routes each request by fingerprint to a shard
+  link, enforces reject-not-drop per-shard in-flight bounds, heartbeats
+  every shard and evicts dead ones (remapping the ring), and aggregates
+  per-shard metrics behind the ``metrics``/``metrics_text``/``trace``
+  wire endpoints.
 
-Clients cannot tell the difference: the wire protocol, the
+Clients cannot tell the difference: one protocol handler
+(:class:`repro.service.AlignmentServer`) serves both tiers, and the
 deterministic response encoding and the backpressure semantics are
 exactly those of :mod:`repro.service` — a 2-shard deployment answers
 byte-identically to the single-process server for the same requests.

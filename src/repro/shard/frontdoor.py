@@ -1,22 +1,25 @@
-"""The asyncio front door: one acceptor, N worker shards, zero drops.
+"""The front door: route each request to one of N worker shards.
 
 Architecture (the TAPA composition shape — independent stages joined by
 bounded streams):
 
-    client ── asyncio server ──> route by fingerprint ──> ShardLink
-                                   (HashRing)               │ bounded
-                                                            ▼ in-flight
-                                                     worker process
-                                                     (pool + cache)
+    client ── AlignmentServer ──> FrontDoor.align ──> ShardLink
+              (the one JSON-line   route by fingerprint  │ bounded
+               handler)            (HashRing)            ▼ in-flight
+                                                   worker process
+                                                   (AlignmentServer
+                                                    over a ServiceCore)
 
-Every client connection is an asyncio task reading JSON lines.  An
-``align`` request is fingerprinted with the same :mod:`repro.cache` key
-the workers cache under, routed through the consistent-hash ring to a
+The acceptor is :class:`~repro.service.server.AlignmentServer`, the
+same server a single process runs over its :class:`ServiceCore`; here
+its target is a :class:`FrontDoor`.  An ``align`` request is
+fingerprinted with the same :mod:`repro.cache` key the workers cache
+under, routed through the consistent-hash ring to a
 :class:`ShardLink`, its id rewritten to a front-door-unique one, and
 forwarded.  The link's reader task restores the original id on the way
-back and writes the response to the owning client — so the
-deterministic response payload is byte-identical to what the worker
-(and therefore the single-process server) produced.
+back and replies to the owning client — so the deterministic response
+payload is byte-identical to what the worker (and therefore the
+single-process server) produced.
 
 Backpressure is reject-not-drop at every boundary: a full per-shard
 in-flight window, an empty ring, or an unroutable kernel each produce
@@ -31,20 +34,18 @@ to every live shard and come back aggregated: summed counters, merged
 histogram envelopes, per-shard detail, ring membership and shard
 health — one endpoint for the whole deployment.
 
-:class:`ShardServer` is the synchronous facade the CLI and tests use:
-it spawns the workers (via :class:`~repro.shard.manager.ShardManager`),
-runs the front door's event loop on a daemon thread, and turns
-``close()`` into the full graceful-drain sequence ending in worker exit
-codes.
+:class:`ShardServer` is the :class:`AlignmentServer` over a front door
+that the CLI and tests use: it also spawns the workers (via
+:class:`~repro.shard.manager.ShardManager`) and turns ``close()`` into
+the full graceful-drain sequence ending in worker exit codes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.export import render_text_snapshot
 from repro.obs.metrics import MetricsRegistry
@@ -54,8 +55,10 @@ from repro.service.protocol import (
     decode_line,
     encode_line,
     error_response,
+    line_limit,
     rejection,
 )
+from repro.service.server import AlignmentServer
 from repro.shard.deployment import Deployment
 from repro.shard.manager import ShardHandle, ShardManager
 from repro.shard.ring import DEFAULT_VNODES, HashRing
@@ -88,36 +91,6 @@ class FrontDoorConfig:
             raise ValueError("heartbeat_misses must be >= 1")
 
 
-class _ClientConn:
-    """One connected client: serialized line writes."""
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.lock = asyncio.Lock()
-        self.open = True
-
-    async def send(self, payload: bytes) -> None:
-        """Write one line; a vanished client is not an error."""
-        if not self.open:
-            return
-        try:
-            async with self.lock:
-                self.writer.write(payload)
-                await self.writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
-            self.open = False
-
-
-class _Forward:
-    """One routed in-flight request awaiting its shard's answer."""
-
-    __slots__ = ("client", "original_id")
-
-    def __init__(self, client: _ClientConn, original_id: str) -> None:
-        self.client = client
-        self.original_id = original_id
-
-
 class ShardLink:
     """The front door's connection to one worker shard."""
 
@@ -126,7 +99,8 @@ class ShardLink:
         self.host = host
         self.port = port
         self.up = False
-        self.pending: Dict[str, _Forward] = {}
+        #: forwarded id → (reply, the client's own id)
+        self.pending: Dict[str, Tuple[Callable[[bytes], None], str]] = {}
         self.routed_total = 0
         self.answered_total = 0
         self._reader: Optional[asyncio.StreamReader] = None
@@ -173,9 +147,9 @@ class ShardLink:
                     forward = self.pending.pop(message_id, None)
                     if forward is not None:
                         self.answered_total += 1
-                        payload = dict(message)
-                        payload["id"] = forward.original_id
-                        await forward.client.send(encode_line(payload))
+                        reply, original_id = forward
+                        message["id"] = original_id
+                        reply(encode_line(message))
                     continue
                 waiter = self._control.pop(message_id, None)
                 if waiter is not None and not waiter.done():
@@ -200,13 +174,12 @@ class ShardLink:
         finally:
             self._control.pop(message_id, None)
 
-    async def fail_pending(self, reason: str) -> None:
+    def fail_pending(self, reason: str) -> None:
         """Answer every in-flight request with an explicit error."""
         pending = list(self.pending.values())
         self.pending.clear()
-        for forward in pending:
-            response = error_response(forward.original_id, reason)
-            await forward.client.send(response.to_line())
+        for reply, original_id in pending:
+            reply(error_response(original_id, reason).to_line())
 
     def close(self) -> None:
         """Tear the link down (tasks cancelled, socket closed)."""
@@ -232,7 +205,12 @@ class ShardLink:
 
 
 class FrontDoor:
-    """The asyncio routing core (loop-thread only; see ShardServer)."""
+    """The routing target of an :class:`AlignmentServer` (loop thread only).
+
+    It implements the server's target interface (``line_limit``,
+    ``start``, ``align``, the three control-plane snapshots and
+    ``drain``) over shard links instead of an in-process core.
+    """
 
     def __init__(
         self,
@@ -249,8 +227,8 @@ class FrontDoor:
         self.metrics = registry or MetricsRegistry()
         self.ring = HashRing(vnodes=self.config.vnodes)
         self.links: Dict[str, ShardLink] = {}
+        self.line_limit = line_limit(2 * deployment.max_len)
         self._ids = itertools.count()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._accepting = False
 
     def _next_id(self) -> str:
@@ -258,18 +236,11 @@ class FrontDoor:
 
     # -- lifecycle -----------------------------------------------------
 
-    async def start(
-        self, address: Tuple[str, int], handles: List[ShardHandle]
-    ) -> Tuple[str, int]:
-        """Connect every shard, then bind; returns the bound address."""
-        for handle in handles:
+    async def start(self) -> None:
+        """Link every spawned shard before the server accepts clients."""
+        for handle in self.manager.handles():
             await self.attach(handle)
-        self._server = await asyncio.start_server(
-            self._handle_client, address[0], address[1]
-        )
         self._accepting = True
-        bound = self._server.sockets[0].getsockname()
-        return bound[0], bound[1]
 
     async def attach(self, handle: ShardHandle) -> None:
         """Link one (newly spawned) shard and put it on the ring."""
@@ -281,25 +252,20 @@ class FrontDoor:
         self.links[handle.name] = link
         self.ring.add(handle.name)
 
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, let in-flight finish, unlink.
+    async def drain(self) -> None:
+        """Graceful drain: refuse new work, let in-flight finish, unlink.
 
         Worker-process drain (and exit-code collection) is the
         manager's synchronous job, done by the caller afterwards.
         """
         self._accepting = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
         deadline = (
             asyncio.get_event_loop().time() + self.config.drain_timeout_s
         )
         while any(link.pending for link in self.links.values()):
             if asyncio.get_event_loop().time() > deadline:
                 for link in self.links.values():
-                    await link.fail_pending(
-                        "front door drain deadline exceeded"
-                    )
+                    link.fail_pending("front door drain deadline exceeded")
                 break
             await asyncio.sleep(0.02)
         for link in list(self.links.values()):
@@ -347,7 +313,7 @@ class FrontDoor:
             self.ring.remove(link.name)
         self.links.pop(link.name, None)
         self.metrics.counter("frontdoor.shards_evicted_total").inc()
-        await link.fail_pending(
+        link.fail_pending(
             f"shard {link.name} evicted mid-request ({reason}); retry"
         )
         link.close()
@@ -355,86 +321,18 @@ class FrontDoor:
 
     # -- client path ---------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One client connection: pump requests until EOF."""
-        client = _ClientConn(writer)
-        try:
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
-                line = raw.strip()
-                if not line:
-                    continue
-                await self._dispatch(client, line)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            client.open = False
-            try:
-                writer.close()
-            except RuntimeError:
-                pass
-
-    async def _dispatch(self, client: _ClientConn, line: bytes) -> None:
-        """Route one wire line (data or control plane)."""
-        message: Any = None
-        try:
-            message = decode_line(line)
-            kind = message.get("type")
-            if kind == "align":
-                await self._on_align(client, message)
-            elif kind == "ping":
-                await client.send(encode_line(
-                    {"type": "pong", "id": message.get("id")}
-                ))
-            elif kind == "metrics":
-                await client.send(encode_line({
-                    "type": "metrics",
-                    "id": message.get("id"),
-                    "snapshot": await self.metrics_snapshot(),
-                }))
-            elif kind == "metrics_text":
-                await client.send(encode_line({
-                    "type": "metrics_text",
-                    "id": message.get("id"),
-                    "text": await self.metrics_text(),
-                }))
-            elif kind == "trace":
-                await client.send(encode_line({
-                    "type": "trace",
-                    "id": message.get("id"),
-                    "trace": await self.trace_snapshot(),
-                }))
-            else:
-                raise ProtocolError(f"unknown message type {kind!r}")
-        except ProtocolError as exc:
-            await client.send(encode_line({
-                "type": "result",
-                "id": message.get("id") if isinstance(message, dict) else None,
-                "status": "error",
-                "error": str(exc),
-            }))
-
-    async def _on_align(
-        self, client: _ClientConn, message: Dict[str, Any]
+    async def align(
+        self, request: AlignRequest, reply: Callable[[bytes], None]
     ) -> None:
         """Fingerprint, route and forward one alignment request."""
-        request = AlignRequest.from_dict(message)
         self.metrics.counter("frontdoor.requests_total").inc()
         if not self._accepting:
-            self.metrics.counter("frontdoor.rejected_total").inc()
-            await client.send(rejection(
-                request.request_id, "service is draining"
-            ).to_line())
-            return
+            return self._refuse(reply, request, "service is draining")
         if not self.router.supports(request.kernel_id):
             # Mirrors ServiceCore._validate so a misaddressed request
             # reads the same against either serving tier.
             self.metrics.counter("frontdoor.errors_total").inc()
-            await client.send(error_response(
+            reply(error_response(
                 request.request_id,
                 f"kernel #{request.kernel_id} is not deployed on this "
                 f"service (deployed: {self.router.kernel_ids()})",
@@ -446,28 +344,20 @@ class FrontDoor:
         try:
             shard = self.ring.route(fingerprint)
         except LookupError:
-            self.metrics.counter("frontdoor.rejected_total").inc()
-            await client.send(rejection(
-                request.request_id, "no live shards; retry later"
-            ).to_line())
-            return
+            return self._refuse(reply, request, "no live shards; retry later")
         link = self.links.get(shard)
         if link is None or not link.up:
-            self.metrics.counter("frontdoor.rejected_total").inc()
-            await client.send(rejection(
-                request.request_id, f"shard {shard} is down; retry later"
-            ).to_line())
-            return
+            return self._refuse(
+                reply, request, f"shard {shard} is down; retry later"
+            )
         if len(link.pending) >= self.config.shard_inflight_bound:
-            self.metrics.counter("frontdoor.rejected_total").inc()
-            await client.send(rejection(
-                request.request_id,
+            return self._refuse(
+                reply, request,
                 f"shard {shard} in-flight window is full "
                 f"({self.config.shard_inflight_bound}); retry later",
-            ).to_line())
-            return
+            )
         forward_id = self._next_id()
-        link.pending[forward_id] = _Forward(client, request.request_id)
+        link.pending[forward_id] = (reply, request.request_id)
         payload = request.to_dict()
         payload["id"] = forward_id
         try:
@@ -475,12 +365,19 @@ class FrontDoor:
         except (ConnectionError, OSError, AssertionError):
             link.pending.pop(forward_id, None)
             await self._on_down(link, "send to worker failed")
-            await client.send(rejection(
-                request.request_id, f"shard {shard} went down; retry later"
-            ).to_line())
-            return
+            return self._refuse(
+                reply, request, f"shard {shard} went down; retry later"
+            )
         link.routed_total += 1
         self.metrics.counter("frontdoor.routed_total").inc()
+
+    def _refuse(
+        self, reply: Callable[[bytes], None], request: AlignRequest,
+        reason: str,
+    ) -> None:
+        """Answer with a backpressure rejection (never a silent drop)."""
+        self.metrics.counter("frontdoor.rejected_total").inc()
+        reply(rejection(request.request_id, reason).to_line())
 
     # -- control-plane aggregation -------------------------------------
 
@@ -591,14 +488,14 @@ class FrontDoor:
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-class ShardServer:
-    """Synchronous facade: spawn shards, run the front door, drain.
+class ShardServer(AlignmentServer):
+    """The sharded tier: an :class:`AlignmentServer` over a :class:`FrontDoor`.
 
-    The constructor is cheap; :meth:`start` does the heavy lifting
-    (kernel synthesis for the router, worker spawn with ready
-    handshake, event-loop thread).  ``close()`` runs the full graceful
-    drain and returns every worker's exit code — 0 across the board is
-    the "clean drain" the CI smoke job asserts.
+    Construction synthesizes the router's kernels and binds;
+    :meth:`start` spawns the workers (with ready handshake) and starts
+    serving.  ``close()`` runs the full graceful drain and returns every
+    worker's exit code — 0 across the board is the "clean drain" the CI
+    smoke job asserts.
     """
 
     def __init__(
@@ -611,89 +508,38 @@ class ShardServer:
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.deployment = deployment
-        self.n_shards = n_shards
         self.config = config or FrontDoorConfig()
         self.manager = ShardManager(
             deployment, n_shards, mp_context=mp_context
         )
-        self._requested_address = address
-        self.address: Optional[Tuple[str, int]] = None
-        self.frontdoor: Optional[FrontDoor] = None
-        self.metrics = registry or MetricsRegistry()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
+        self.frontdoor = FrontDoor(
+            deployment, FingerprintRouter.from_deployment(deployment),
+            self.manager, config=self.config, registry=registry,
+        )
+        super().__init__(address, self.frontdoor)
 
     def start(self) -> "ShardServer":
-        """Spawn every shard and bind the front door; returns self."""
-        router = FingerprintRouter.from_deployment(self.deployment)
-        handles = self.manager.spawn_all()
-        self.frontdoor = FrontDoor(
-            self.deployment, router, self.manager,
-            config=self.config, registry=self.metrics,
-        )
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def run() -> None:
-            asyncio.set_event_loop(self._loop)
-            started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="shard-frontdoor", daemon=True
-        )
-        self._thread.start()
-        started.wait()
+        """Spawn every shard and serve the front door; returns self."""
         try:
-            self.address = asyncio.run_coroutine_threadsafe(
-                self.frontdoor.start(self._requested_address, handles),
-                self._loop,
-            ).result(timeout=60.0)
-        except Exception:
-            self._stop_loop()
-            self.manager.kill_all()
+            self.manager.spawn_all()
+            self.serve_in_thread()
+        except BaseException:
+            self.close()
             raise
         return self
 
     def __enter__(self) -> "ShardServer":
-        """Context-manager start."""
         return self.start()
 
     def __exit__(self, *_exc) -> None:
-        """Context-manager close (graceful drain)."""
         self.close()
-
-    def _stop_loop(self) -> None:
-        if self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        self._loop.close()
-        self._loop = None
 
     def close(self) -> Dict[str, Optional[int]]:
         """Graceful drain; returns worker name → exit code (0 = clean)."""
-        if self._closed:
-            return {}
-        self._closed = True
-        if self._loop is not None and self.frontdoor is not None:
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self.frontdoor.shutdown(), self._loop
-                ).result(timeout=self.config.drain_timeout_s + 10.0)
-            except Exception:  # noqa: BLE001 - drain must proceed to reap
-                pass
-        self._stop_loop()
-        return self.manager.drain_all(
-            timeout_s=self.config.drain_timeout_s
-        )
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """Thread-safe aggregate metrics fetch (for the CLI's exit dump)."""
-        if self._loop is None or self.frontdoor is None:
-            return {"counters": self.metrics.snapshot().get("counters", {})}
-        return asyncio.run_coroutine_threadsafe(
-            self.frontdoor.metrics_snapshot(), self._loop
-        ).result(timeout=30.0)
+        try:
+            super().close()
+        finally:  # reap the workers even if the front door's drain failed
+            codes = self.manager.drain_all(
+                timeout_s=self.config.drain_timeout_s
+            )
+        return codes

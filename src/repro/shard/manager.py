@@ -109,7 +109,15 @@ class ShardManager:
                     f"{name} died during startup "
                     f"(exit code {process.exitcode})"
                 )
-        status, value = conn.recv()
+        try:
+            status, value = conn.recv()
+        except EOFError:
+            # The pipe closed unanswered: the worker died before its
+            # handshake, and poll() saw the EOF before is_alive() did.
+            process.join(timeout=5.0)
+            raise ShardSpawnError(
+                f"{name} died during startup (exit code {process.exitcode})"
+            ) from None
         if status != "ready":
             process.join(timeout=5.0)
             raise ShardSpawnError(f"{name} failed to start: {value}")

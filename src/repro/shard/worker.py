@@ -1,14 +1,15 @@
 """The shard worker: one process, one pool, one private cache tier.
 
-A worker is deliberately boring — it is the *existing* single-process
-serving stack, unchanged, run once per shard:
+A worker is deliberately boring — it is the single-process serving
+stack, run once per shard:
 
     Deployment.build_pool() → ServiceCore → AlignmentServer on
     (127.0.0.1, 0)
 
-so every semantic the single-process tests pin (deterministic response
-encoding, reject-not-drop admission, obs counters) holds inside each
-shard by construction.  What the sharding layer adds lives entirely in
+the same asyncio JSON-line server that ``repro serve`` runs and that
+fronts the shards themselves, so every semantic the single-process
+tests pin (deterministic response encoding, reject-not-drop admission,
+obs counters) holds inside each shard by construction.  What the sharding layer adds lives entirely in
 the parent: routing, health, aggregation.
 
 Parent ↔ worker control travels over a ``multiprocessing`` pipe:

@@ -23,6 +23,7 @@ from repro.service import (
     Status,
 )
 from repro.service.protocol import response_from_result
+from repro.shard import Deployment
 from tests.conftest import mutated_copy, random_dna
 
 KERNEL_IDS = (1, 3)
@@ -113,8 +114,7 @@ class TestEndToEndTCP:
             assert sum(m["pairs_served"] for m in snapshot["pool"]) == 201
         finally:
             client.close()
-            server.shutdown()
-            server.server_close()
+            server.close()
 
     def test_control_plane_and_error_paths(self, served_core):
         server = AlignmentServer(("127.0.0.1", 0), served_core)
@@ -131,8 +131,34 @@ class TestEndToEndTCP:
             assert "exceeds" in overlong.error
         finally:
             client.close()
-            server.shutdown()
-            server.server_close()
+            server.close()
+
+
+class TestApiServe:
+    def test_single_process_serve_answers_and_closes(self):
+        """``repro.api.serve`` with one shard serves until ``close()``."""
+        from repro.api import serve
+
+        deployment = Deployment(kernel_ids=(1,), n_pe=8, max_len=64)
+        server = serve(deployment)
+        try:
+            client = AlignmentClient(*server.address, read_timeout=60.0)
+            assert client.ping()
+            _kernel_id, query, reference = make_workload(1)[0]
+            response = client.align(1, query, reference)
+            client.close()
+            local = DeviceRuntime(
+                get_kernel(1), deployment.launch_config()
+            ).run([(query, reference)]).results[0]
+            assert response.to_line(with_latency=False) == \
+                response_from_result(
+                    response.request_id, local
+                ).to_line(with_latency=False)
+        finally:
+            closer = threading.Thread(target=server.close, daemon=True)
+            closer.start()
+            closer.join(timeout=30.0)
+        assert not closer.is_alive(), "close() did not return"
 
 
 class TestBackpressure:

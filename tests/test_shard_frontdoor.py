@@ -25,6 +25,7 @@ import pytest
 
 from repro.service import AlignmentClient, InProcClient, Status
 from repro.shard import Deployment, FrontDoorConfig, ShardServer
+from repro.shard.manager import ShardManager, ShardSpawnError
 from repro.shard.router import FingerprintRouter
 from repro.shard.worker import DRAIN, run_inline
 
@@ -297,6 +298,24 @@ class TestWorkerProtocol:
         assert status == "failed"
         assert reason
         thread.join(timeout=30.0)
+
+
+class _ExitsDuringBoot:
+    """A deployment stand-in: unpickling it in the worker exits with 3."""
+
+    def for_shard(self, shard_name):
+        return self
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
+class TestSpawnFailure:
+    def test_worker_exiting_during_boot_names_shard_and_exit_code(self):
+        manager = ShardManager(_ExitsDuringBoot(), 1)
+        with pytest.raises(ShardSpawnError) as caught:
+            manager.spawn_all()
+        assert str(caught.value) == "shard-00 died during startup (exit code 3)"
 
 
 class TestDeployment:
